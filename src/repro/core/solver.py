@@ -12,6 +12,23 @@
 
 Results report which strategy ran, so experiments can verify the
 dispatch matches the trichotomy.
+
+**The canonical witness.**  A query can have many shortest simple
+paths.  The canonical one is the *first* in the graph views'
+canonical ``(label, target)`` expansion order, i.e. the
+lexicographically least.  The exact solver's branch-and-bound
+depth-first search always returns it.  The anchored search of the
+tractable solver finds a shortest path but breaks ties its own way,
+so the trC branch ends with a canonical-witness pass: after the
+paper's solver finds a path of length ``k``, the product-graph BFS
+(:func:`~repro.core.product.shortest_accepting_walk`) runs to depth
+``k``, and when the lexicographically least shortest accepting walk
+is simple it is returned instead — it is a shortest simple path, and
+the least one.  The rule therefore holds on every infinite language
+whenever that walk is simple, which is exactly what lets the batch
+engine answer such queries from the walk alone (see
+:mod:`repro.engine.engine`).  Otherwise — and for finite languages,
+whose solver tries words first — the solver's own tie-break stands.
 """
 
 from __future__ import annotations
@@ -21,11 +38,13 @@ from typing import Optional
 
 from ..errors import ReproError
 from ..graphs.dbgraph import Path
+from ..graphs.view import as_graph_view
 from ..languages import Language
 from ..languages.analysis import useful_symbols
 from ..algorithms.bounded import FiniteLanguageSolver
 from ..algorithms.exact import ExactSolver
 from .nice_paths import TractableSolver
+from .product import is_simple_walk, shortest_accepting_walk
 from .psitr import decompose
 from .trichotomy import Classification, classify
 
@@ -126,12 +145,46 @@ class RspqSolver:
             )
 
     def shortest_simple_path(self, graph, source, target, ctx=None):
-        """Shortest simple L-labeled path or ``None``.
+        """The canonical shortest simple L-labeled path, or ``None``.
 
         ``ctx`` (an :class:`~repro.execution.ExecutionContext`) carries
         the per-query counters and budget/deadline accounting; without
         one, the dispatched solver creates its own and the legacy
         ``last_steps()`` shim reads it afterwards.
+        """
+        path = self.search(graph, source, target, ctx=ctx)
+        if self._tractable_solver is None or path is None or not len(path):
+            return path
+        return self._canonical_witness(graph, path, ctx)
+
+    def _canonical_witness(self, graph, path, ctx):
+        """The least shortest walk of ``len(path)`` edges if simple, else ``path``.
+
+        ``path`` is a shortest simple path, so no accepting walk is
+        shorter; the BFS stops at its length.  The walk's expansions
+        are charged as anchored-DFS steps, to the implicit context of
+        a context-less query.
+        """
+        if ctx is None:
+            ctx = self._tractable_solver.last_stats
+        view = as_graph_view(graph)
+        walk = shortest_accepting_walk(
+            self.language.dfa, view, view.vertex_id(path.source),
+            view.vertex_id(path.target), len(path), ctx.charge_dfs_step,
+        )
+        if walk is None or not is_simple_walk(walk[0]):
+            return path
+        return view.path(*walk)
+
+    def search(self, graph, source, target, ctx=None):
+        """A shortest simple path from the dispatched solver alone.
+
+        The paper's algorithm for the language's regime, without the
+        canonical-witness pass: on trC languages a tie between equally
+        short paths may resolve differently from
+        :meth:`shortest_simple_path`.  The engine calls this only after
+        its own walk probe came back inconclusive, which already rules
+        out every case where the two differ.
         """
         if self._finite_solver is not None:
             return self._finite_solver.shortest_simple_path(
@@ -179,14 +232,25 @@ class RspqSolver:
             return ctx.dfs_steps
         return ctx.steps
 
+    def charge_in(self, ctx):
+        """The ``ctx`` charging method behind :meth:`steps_in`.
+
+        Work done on the strategy's behalf (the engine's walk probe)
+        charges this, so budgets and deadlines keep their meaning:
+        exact steps count against the budget and the deadline,
+        tractable and finite steps against the deadline only.
+        """
+        if self._finite_solver is not None:
+            return ctx.charge_word
+        if self._tractable_solver is not None:
+            return ctx.charge_dfs_step
+        return ctx.charge_step
+
     def exists(self, graph, source, target, ctx=None):
         """Decision variant of RSPQ(L)."""
         if self._exact_solver is not None:
             return self._exact_solver.exists(graph, source, target, ctx=ctx)
-        return (
-            self.shortest_simple_path(graph, source, target, ctx=ctx)
-            is not None
-        )
+        return self.search(graph, source, target, ctx=ctx) is not None
 
 
 def solve_rspq(language, graph, source, target, exact_budget=None, ctx=None):

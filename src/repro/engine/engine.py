@@ -8,6 +8,26 @@ to a :class:`~repro.engine.plan.PlanCache` and answers
 path-for-path, to what per-query :func:`repro.core.solver.solve_rspq`
 returns on the raw graph; the engine only removes redundant work.
 
+**Certificate-first dispatch.**  Before a plan with an infinite
+language (``trc-nice-path`` or ``exact-backtracking``) runs its
+solver, the engine runs *rung 0*: one product-graph BFS
+(:func:`~repro.core.product.shortest_accepting_walk`) for the shortest
+accepting walk.  No accepting walk certifies NOT_FOUND, since every
+simple path is a walk.  A shortest walk that is
+simple is a shortest simple path and certifies the answer.  Only when
+the shortest walk repeats a vertex — the case the trichotomy is about
+— does the paper's solver run.  The walk answer is path-for-path the
+solver's answer by the *canonical-witness rule* (see
+:mod:`repro.core.solver`): the BFS returns the first shortest walk in
+the views' canonical ``(label, target)`` expansion order, and when
+that walk is simple both infinite-language strategies return exactly
+it.
+Rung 0 charges the plan's own work counter, so budgets, deadlines and
+``steps`` keep their meaning; ``QueryStats.walk_certified`` marks the
+queries it settled.  Finite plans skip it (their solver is cheaper
+than a BFS), and portfolio-routed queries skip it because the
+ladder's first rung is the same probe.
+
 Plans are frozen and solvers re-entrant (per-query state lives in an
 :class:`~repro.execution.ExecutionContext`), so ``run_batch`` can shard
 a workload across a thread pool: queries on the same language share one
@@ -36,6 +56,7 @@ from ..core.solver import (
     STRATEGY_FINITE,
     STRATEGY_TRACTABLE,
 )
+from ..core.product import is_simple_walk, shortest_accepting_walk
 from ..errors import ReproError
 from ..execution import ExecutionContext, GroupExecution
 from ..graphs.dbgraph import Path
@@ -70,6 +91,10 @@ class QueryStats:
     #: (proven NOT_FOUND with no per-query solver run; ``steps``
     #: reports sweep rounds charged to this query).
     vectorized: bool = False
+    #: True when rung 0 — the shortest accepting walk — settled the
+    #: query (no walk: NOT_FOUND; a simple walk: the answer) and the
+    #: plan's solver never ran; ``steps`` reports the BFS expansions.
+    walk_certified: bool = False
 
 
 @dataclass
@@ -835,9 +860,11 @@ class QueryEngine:
             ):
                 cache.store(generation, result_key, result)
             return result
-        path = plan.solver.shortest_simple_path(
-            view, source, target, ctx=ctx
+        walk_certified, path = self._walk_certificate(
+            view, plan, source, target, ctx
         )
+        if not walk_certified:
+            path = plan.solver.search(view, source, target, ctx=ctx)
         if max_path_edges is not None and path is not None and (
             len(path) > max_path_edges
         ):
@@ -846,14 +873,42 @@ class QueryEngine:
             # bound, no bounded path exists — a certified negative.
             path = None
         result = self._answered_result(
-            language, source, target, plan, cache_hit, ctx, path, start
+            language, source, target, plan, cache_hit, ctx, path, start,
+            walk_certified,
         )
         if cache is not None:
             cache.store(generation, result_key, result)
         return result
 
+    def _walk_certificate(self, view, plan, source, target, ctx):
+        """Rung 0: ``(certified, path)`` from the shortest accepting walk.
+
+        ``certified`` is False when rung 0 does not apply (a finite
+        plan, or a same-vertex query whose only simple path is the
+        empty one) or the shortest walk repeats a vertex; the plan's
+        solver must answer then.  The BFS runs to exhaustion: a
+        shortest walk never repeats a product node, so the product
+        size bounds its length.
+        """
+        if plan.strategy == STRATEGY_FINITE:
+            return False, None
+        source_id = view.vertex_id(source)
+        target_id = view.vertex_id(target)
+        if source_id == target_id:
+            return False, None
+        dfa = plan.language.dfa
+        walk = shortest_accepting_walk(
+            dfa, view, source_id, target_id,
+            view.num_vertices * dfa.num_states, plan.solver.charge_in(ctx),
+        )
+        if walk is None:
+            return True, None
+        if is_simple_walk(walk[0]):
+            return True, view.path(*walk)
+        return False, None
+
     def _answered_result(self, language, source, target, plan, cache_hit,
-                         ctx, path, start):
+                         ctx, path, start, walk_certified):
         """The :class:`EngineResult` for one successfully answered query."""
         return EngineResult(
             language=language,
@@ -868,6 +923,7 @@ class QueryEngine:
                 steps=plan.solver.steps_in(ctx),
                 plan_cache_hit=cache_hit,
                 seconds=time.perf_counter() - start,
+                walk_certified=walk_certified,
             ),
         )
 
@@ -920,6 +976,7 @@ class QueryEngine:
                 seconds=time.perf_counter() - start,
                 result_cache_hit=True,
                 short_circuit=cached.stats.short_circuit,
+                walk_certified=cached.stats.walk_certified,
             ),
             confidence=cached.confidence,
             failure_bound=cached.failure_bound,
@@ -947,7 +1004,16 @@ class QueryEngine:
 
     def _error_result(self, language, source, target, cache_hit, start,
                       err):
-        """The isolated-failure result batch mode returns for ``err``."""
+        """The isolated-failure result batch mode returns for ``err``.
+
+        A :class:`~repro.errors.ReproError` is the query's own failure
+        (bad input, exhausted budget or deadline) and reports its
+        message.  Anything else is an internal fault, reported as
+        ``internal_error: <type>: <message>`` — still one errored
+        query, so the rest of the batch survives it.
+        """
+        if not isinstance(err, ReproError):
+            err = "internal_error: %s: %s" % (type(err).__name__, err)
         return EngineResult(
             language=language,
             source=source,
@@ -1034,7 +1100,11 @@ class QueryEngine:
 
     def _run_single(self, language, source, target, deadline_seconds=None,
                     budget=None, portfolio=None, max_path_edges=None):
-        """One query with per-query error isolation (batch building block)."""
+        """One query with per-query error isolation (batch building block).
+
+        Every exception becomes this query's error result (see
+        :meth:`_error_result`); none escapes to the batch.
+        """
         start = time.perf_counter()
         hit_box = [False]
         try:
@@ -1044,7 +1114,7 @@ class QueryEngine:
                 portfolio=portfolio, max_path_edges=max_path_edges,
                 _hit_box=hit_box,
             )
-        except ReproError as err:
+        except Exception as err:
             return self._error_result(
                 language, source, target, hit_box[0], start, err
             )
@@ -1107,7 +1177,7 @@ class QueryEngine:
                 if cache is not None:
                     cache.store(generation, result_key, result)
                 return result
-        except ReproError as err:
+        except Exception as err:
             return self._error_result(
                 language, source, target, cache_hit, start, err
             )
@@ -1135,7 +1205,7 @@ class QueryEngine:
                 rec.cache_hit, rec.start, rec.view, rec.generation,
                 rec.result_key, overrides,
             )
-        except ReproError as err:
+        except Exception as err:
             return self._error_result(
                 rec.language, rec.source, rec.target, rec.cache_hit,
                 rec.start, err,

@@ -44,7 +44,7 @@ from typing import Any, Optional
 from ..algorithms.algebraic import MAX_GROUP_RANK, AlgebraicSolver
 from ..algorithms.color_coding import ColorCodingSolver
 from ..algorithms.exact import ExactSolver
-from ..core.product import transition_rows
+from ..core.product import is_simple_walk, shortest_accepting_walk
 from ..errors import BudgetExceededError, DeadlineExceededError
 from ..execution import ExecutionContext
 from ..graphs.dbgraph import Path
@@ -256,7 +256,10 @@ class PortfolioSolver:
         # Rung 1: walk probe (certified, polynomial, parent-charged).
         start = time.perf_counter()
         steps_before = ctx.steps
-        walk = self._walk_probe(view, source_id, target_id, k_complete, ctx)
+        walk = shortest_accepting_walk(
+            self.dfa, view, source_id, target_id, k_complete,
+            ctx.charge_step,
+        )
         probe_steps = ctx.steps - steps_before
         if walk is None:
             rungs.append(RungReport(
@@ -267,7 +270,7 @@ class PortfolioSolver:
             return self._certified(False, None, "walk-probe", rungs)
         walk_vertices, walk_labels = walk
         walk_len = len(walk_labels)
-        if len(set(walk_vertices)) == len(walk_vertices):
+        if is_simple_walk(walk_vertices):
             rungs.append(RungReport(
                 "walk-probe", "found", probe_steps,
                 time.perf_counter() - start,
@@ -390,61 +393,6 @@ class PortfolioSolver:
             else remaining_seconds * fraction
         )
         return ctx.child(budget=budget, seconds=seconds)
-
-    # invariant: hot-loop
-    def _walk_probe(self, view: GraphView, source_id: int, target_id: int,
-                    max_edges: int, ctx: ExecutionContext):
-        """Shortest accepting walk with at most ``max_edges`` edges.
-
-        Layered BFS over the product graph (simplicity ignored) with
-        parent pointers.  ``None`` — no such walk — certifies that no
-        simple path of the queried length exists either.
-        """
-        dfa = self.dfa
-        num_states = dfa.num_states
-        accepting = dfa.accepting
-        rows = transition_rows(dfa, view)
-        out = view.out
-        start = source_id * num_states + dfa.initial
-        parents: dict[int, "tuple[int, int] | None"] = {start: None}
-        frontier = [start]
-        goal = None
-        depth = 0
-        while frontier and goal is None and depth < max_edges:
-            depth += 1
-            next_frontier: list[int] = []
-            for node in frontier:
-                ctx.charge_step()
-                vertex_id, state = divmod(node, num_states)
-                for label_id, nxt in out(vertex_id):
-                    row = rows[label_id]
-                    if row is None:
-                        continue
-                    next_node = nxt * num_states + row[state]
-                    if next_node in parents:
-                        continue
-                    parents[next_node] = (node, label_id)
-                    if nxt == target_id and row[state] in accepting:
-                        goal = next_node
-                        break
-                    next_frontier.append(next_node)
-                if goal is not None:
-                    break
-            frontier = next_frontier
-        if goal is None:
-            return None
-        vertex_ids = []
-        label_ids = []
-        node = goal
-        while parents[node] is not None:
-            parent, label_id = parents[node]
-            vertex_ids.append(node // num_states)
-            label_ids.append(label_id)
-            node = parent
-        vertex_ids.append(node // num_states)
-        vertex_ids.reverse()
-        label_ids.reverse()
-        return tuple(vertex_ids), tuple(label_ids)
 
     def _run_color_rung(self, view: GraphView, source_id: int,
                         target_id: int, walk_len: int, k_complete: int,

@@ -7,8 +7,8 @@ stream-parse or diff outputs byte-for-byte — and is pinned by
 
 ``language, source, target, strategy, found, length, word, path,
 decompose_failed, steps, seconds, plan_cache_hit, result_cache_hit,
-short_circuit, vectorized, confidence, failure_bound, degraded,
-error``
+short_circuit, vectorized, walk_certified, confidence, failure_bound,
+degraded, error``
 
 * ``language`` — the language spec as a string (regex text).
 * ``source`` / ``target`` — endpoints exactly as queried (JSON keeps
@@ -28,6 +28,10 @@ error``
 * ``vectorized`` — a shared multi-query product sweep proved the
   answer (batch mode only; ``steps`` reports sweep rounds charged to
   this query).
+* ``walk_certified`` — the engine's walk certificate (rung 0: the
+  shortest accepting walk in the product graph) settled the query and
+  no solver ran: no walk proved NOT_FOUND, or the shortest walk was
+  simple and is the answer (``steps`` reports the BFS expansions).
 * ``confidence`` — ``certified`` for exact answers (every classic
   strategy, and portfolio answers backed by a witness or proof);
   ``probabilistic`` for portfolio negatives whose randomized rungs
@@ -72,6 +76,7 @@ RESULT_FIELDS = (
     "result_cache_hit",
     "short_circuit",
     "vectorized",
+    "walk_certified",
     "confidence",
     "failure_bound",
     "degraded",
@@ -100,6 +105,7 @@ def result_record(result: EngineResult,
         "result_cache_hit": result.stats.result_cache_hit,
         "short_circuit": result.stats.short_circuit,
         "vectorized": result.stats.vectorized,
+        "walk_certified": result.stats.walk_certified,
         "confidence": result.confidence,
         "failure_bound": result.failure_bound,
         "degraded": degraded,

@@ -63,6 +63,9 @@ class GraphStats:
     worker_crashes: int = 0
     #: Requests answered below full service (degradation ladder > 0).
     degraded: int = 0
+    #: Answers settled by the engine's walk certificate (rung 0) with
+    #: no solver run — replays of such answers included.
+    walk_certified: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -76,6 +79,7 @@ class GraphStats:
             "busy_seconds": self.busy_seconds,
             "worker_crashes": self.worker_crashes,
             "degraded": self.degraded,
+            "walk_certified": self.walk_certified,
         }
 
 
@@ -107,12 +111,16 @@ class RegisteredGraph:
 
     def record_batch(self, batch: BatchResult) -> None:
         """Fold one :class:`BatchResult` into the serving counters."""
+        walk_certified = sum(
+            1 for result in batch.results if result.stats.walk_certified
+        )
         with self._lock:
             self.stats.batches += 1
             self.stats.queries += len(batch)
             self.stats.found += batch.found_count
             self.stats.errors += batch.error_count
             self.stats.busy_seconds += batch.seconds
+            self.stats.walk_certified += walk_certified
 
     def record_query(self, result: EngineResult, seconds: float) -> None:
         """Fold one :class:`EngineResult` into the serving counters."""
@@ -122,6 +130,8 @@ class RegisteredGraph:
                 self.stats.found += 1
             if result.error is not None:
                 self.stats.errors += 1
+            if result.stats.walk_certified:
+                self.stats.walk_certified += 1
             self.stats.busy_seconds += seconds
 
     def record_query_failure(self, seconds: float) -> None:
