@@ -1,25 +1,26 @@
-"""Parallel batch execution vs serial — re-entrant plans under load.
+"""Multi-core batch execution: ``WorkerPool.run_batch`` vs serial.
 
 A ≥100-query mixed-regime workload (finite / trC / NP-hard languages,
-with a hot language concentrating load on one shared plan) runs through
-``QueryEngine.run_batch`` serially and with ``workers=4``.
+with a hot language concentrating load on one shared plan) is saved as
+a snapshot.  A serial :class:`~repro.engine.QueryEngine` over the
+loaded snapshot and a :class:`~repro.service.workers.WorkerPool` whose
+workers attach the same file both answer it.
 
-Asserted shape (the ISSUE-2 acceptance criteria):
+Asserted shape:
 
-* parallel results are **path-for-path identical** to serial — same
-  vertices, same labels, same strategies, for thread and process
-  scheduling alike;
-* under thread contention each distinct language is compiled **exactly
-  once** (single-flight), verified via the real plan-cache counters;
-* on hardware with more than one core, the parallel batch is **faster
-  than serial wall-clock** (>1×) — threads on free-threaded builds,
-  worker processes on GIL builds.  On a single-core machine the
-  speedup test is skipped (no scheduler can beat serial there) and the
-  overhead-bound test keeps the parallel path honest instead.
+* pool results are **path-for-path identical** to serial — same
+  vertices, same labels, same strategies, with and without the
+  vectorized sweep;
+* the pool places each plan group whole on one shard, so a fresh pool
+  compiles each distinct language **exactly once** across all its
+  workers, verified via the real plan-cache counters;
+* on hardware with more than one core, the pool is **faster than
+  serial wall-clock** (>1×).  On a single-core machine the speedup
+  test is skipped (no scheduler can beat serial there) and the
+  overhead-bound test keeps the pool honest instead.
 """
 
 import os
-import sys
 
 import pytest
 
@@ -31,9 +32,11 @@ from benchmarks.conftest import (
 )
 from benchmarks.workloads import distinct_languages, mixed_workload
 
-from repro.engine import QueryEngine
+from repro.engine import IndexedGraph, QueryEngine
+from repro.service import load_snapshot, save_snapshot
+from repro.service.workers import WorkerPool
 
-WORKERS = 4
+WORKERS = 2
 NUM_QUERIES = scaled(150, 30)
 
 #: The hot language: every 3rd query shares this plan.
@@ -46,10 +49,10 @@ def _available_cores():
     return os.cpu_count() or 1
 
 
-def _scaling_mode():
-    """The scheduler that can actually use extra cores on this build."""
-    gil_enabled = getattr(sys, "_is_gil_enabled", lambda: True)()
-    return "process" if gil_enabled else "thread"
+def _save(graph, directory):
+    path = str(directory / "graph.snap")
+    save_snapshot(IndexedGraph(graph), path)
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +67,18 @@ def workload():
     )
 
 
+@pytest.fixture(scope="module")
+def snapshot(workload, tmp_path_factory):
+    graph, _queries = workload
+    return _save(graph, tmp_path_factory.mktemp("parallel_batch"))
+
+
+@pytest.fixture(scope="module")
+def pool(snapshot):
+    with WorkerPool(snapshot, workers=WORKERS) as running:
+        yield running
+
+
 def _assert_identical(serial, parallel):
     assert len(serial) == len(parallel)
     for reference, result in zip(serial.results, parallel.results):
@@ -74,50 +89,39 @@ def _assert_identical(serial, parallel):
         assert result.error == reference.error, key
 
 
-def test_thread_parallel_matches_serial_path_for_path(workload):
-    graph, queries = workload
-    serial = QueryEngine(graph).run_batch(queries)
-    parallel = QueryEngine(graph).run_batch(queries, workers=WORKERS)
-    _assert_identical(serial, parallel)
+def test_pool_matches_serial_path_for_path(workload, snapshot, pool):
+    _graph, queries = workload
+    for vectorize in (True, False):
+        serial = QueryEngine(load_snapshot(snapshot)).run_batch(
+            queries, vectorize=vectorize
+        )
+        pooled = pool.run_batch(queries, vectorize=vectorize)
+        assert pooled.workers == WORKERS
+        _assert_identical(serial, pooled)
 
 
-def test_process_parallel_matches_serial_path_for_path(workload):
-    graph, queries = workload
-    serial = QueryEngine(graph).run_batch(queries)
-    parallel = QueryEngine(graph).run_batch(
-        queries, workers=2, mode="process"
-    )
-    _assert_identical(serial, parallel)
-
-
-def test_thread_contention_compiles_each_plan_exactly_once(workload):
-    graph, queries = workload
-    engine = QueryEngine(graph)
-    batch = engine.run_batch(queries, workers=WORKERS)
+def test_pool_compiles_each_plan_exactly_once(workload, snapshot):
+    _graph, queries = workload
+    with WorkerPool(snapshot, workers=WORKERS) as fresh:
+        batch = fresh.run_batch(queries)
     assert batch.cache_stats.compiles == len(distinct_languages(queries))
     assert batch.cache_stats.evictions == 0
-    rerun = engine.run_batch(queries, workers=WORKERS)
-    assert rerun.cache_stats.compiles == 0  # fully warm
-    assert rerun.cache_stats.hits == len(queries)
 
 
-def test_parallel_overhead_is_bounded(workload):
+def test_parallel_overhead_is_bounded(workload, snapshot, pool):
     """Even where parallelism cannot win (1 core), it must not explode."""
     skip_if_smoke("scheduling-overhead wall-clock bound")
-    graph, queries = workload
-    serial_engine = QueryEngine(graph)
-    parallel_engine = QueryEngine(graph)
+    _graph, queries = workload
+    serial_engine = QueryEngine(load_snapshot(snapshot))
     serial_seconds, _ = measure_seconds(serial_engine.run_batch, queries)
-    parallel_seconds, _ = measure_seconds(
-        parallel_engine.run_batch, queries, workers=WORKERS
-    )
+    parallel_seconds, _ = measure_seconds(pool.run_batch, queries)
     assert parallel_seconds < 5 * serial_seconds + 0.5, (
-        "thread scheduling overhead out of bounds: serial %.3fs, "
-        "parallel %.3fs" % (serial_seconds, parallel_seconds)
+        "pool scheduling overhead out of bounds: serial %.3fs, "
+        "pool %.3fs" % (serial_seconds, parallel_seconds)
     )
 
 
-def test_parallel_speedup_over_serial():
+def test_parallel_speedup_over_serial(tmp_path):
     """>1× wall-clock vs serial on the same workload (needs >1 core)."""
     skip_if_smoke("parallel wall-clock speedup")
     cores = _available_cores()
@@ -135,23 +139,28 @@ def test_parallel_speedup_over_serial():
         hot_language=HOT_LANGUAGE,
         hot_every=3,
     )
-    mode = _scaling_mode()
+    path = _save(graph, tmp_path)
     workers = min(WORKERS, cores)
-    serial_engine = QueryEngine(graph)
-    parallel_engine = QueryEngine(graph)
-    # Best of two runs each: one noisy scheduling hiccup must not
-    # decide a wall-clock comparison.
-    serial_seconds, serial_batch = min(
-        (measure_seconds(serial_engine.run_batch, queries)
-         for _ in range(2)),
-        key=lambda pair: pair[0],
-    )
-    parallel_seconds, parallel_batch = min(
-        (measure_seconds(
-            parallel_engine.run_batch, queries, workers=workers, mode=mode
-        ) for _ in range(2)),
-        key=lambda pair: pair[0],
-    )
+    # Result caches off on both sides: a timed rerun must solve, not
+    # replay the previous run's answers.
+    serial_engine = QueryEngine(load_snapshot(path), result_cache=False)
+    with WorkerPool(
+        path, engine_kwargs={"result_cache": False}, workers=workers
+    ) as timed_pool:
+        # Warm every plan cache, then take the best of two runs each:
+        # one noisy scheduling hiccup must not decide the comparison.
+        serial_engine.run_batch(queries)
+        timed_pool.run_batch(queries)
+        serial_seconds, serial_batch = min(
+            (measure_seconds(serial_engine.run_batch, queries)
+             for _ in range(2)),
+            key=lambda pair: pair[0],
+        )
+        parallel_seconds, parallel_batch = min(
+            (measure_seconds(timed_pool.run_batch, queries)
+             for _ in range(2)),
+            key=lambda pair: pair[0],
+        )
     _assert_identical(serial_batch, parallel_batch)
     record_metric(
         "parallel_batch", "serial_seconds", round(serial_seconds, 6)
@@ -165,11 +174,10 @@ def test_parallel_speedup_over_serial():
     )
     record_metric("parallel_batch", "workers", workers)
     assert parallel_seconds < serial_seconds, (
-        "expected >1x speedup with %d %s workers, got %.2fx "
-        "(serial %.3fs, parallel %.3fs)"
+        "expected >1x speedup with %d pool workers, got %.2fx "
+        "(serial %.3fs, pool %.3fs)"
         % (
             workers,
-            mode,
             serial_seconds / parallel_seconds,
             serial_seconds,
             parallel_seconds,
@@ -177,17 +185,17 @@ def test_parallel_speedup_over_serial():
     )
 
 
-def test_parallel_batch(benchmark, workload):
-    graph, queries = workload
-    engine = QueryEngine(graph)
-    engine.run_batch(queries)  # warm the plan cache
-    batch = benchmark(engine.run_batch, queries, workers=WORKERS)
-    assert batch.cache_stats.compiles == 0
+def test_parallel_batch(benchmark, workload, pool):
+    _graph, queries = workload
+    pool.run_batch(queries)  # warm the workers' plan caches
+    batch = benchmark(pool.run_batch, queries)
+    assert len(batch) == len(queries)
+    assert batch.error_count == 0
 
 
-def test_serial_batch_baseline(benchmark, workload):
-    graph, queries = workload
-    engine = QueryEngine(graph)
+def test_serial_batch_baseline(benchmark, workload, snapshot):
+    _graph, queries = workload
+    engine = QueryEngine(load_snapshot(snapshot))
     engine.run_batch(queries)  # warm the plan cache
     batch = benchmark(engine.run_batch, queries)
     assert batch.cache_stats.compiles == 0

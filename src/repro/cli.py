@@ -8,7 +8,7 @@ Usage (also via ``python -m repro``)::
     repro solve 'a*c*' graph.txt 0 5
     repro psitr 'a*(bb+ + eps)c*'
     repro batch graph.txt queries.txt
-    repro batch graph.txt queries.txt --workers 4 --jsonl results.jsonl
+    repro batch graph.txt queries.txt --jsonl results.jsonl
     repro snapshot graph.txt graph.snap
     repro serve --graph social=graph.txt --snapshot web=graph.snap
 
@@ -163,21 +163,6 @@ def _build_parser():
         "provably unreachable queries, no frontier pruning)",
     )
     p_batch.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel workers for the batch (default 1 = serial); "
-        "results are identical path-for-path for every worker count",
-    )
-    p_batch.add_argument(
-        "--parallel-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="scheduler for --workers > 1: 'thread' shares one plan "
-        "cache (single-flight compiles), 'process' shards across "
-        "worker processes for CPU scaling on GIL builds",
-    )
-    p_batch.add_argument(
         "--no-vectorize",
         action="store_true",
         help="disable vectorized batch execution (queries sharing one "
@@ -275,8 +260,8 @@ def _build_parser():
         "--workers",
         type=int,
         default=4,
-        help="solver threads; also the cap on per-request batch "
-        "workers (default 4)",
+        help="solver threads; also the cap on the pool processes one "
+        "/batch request may shard over (default 4)",
     )
     p_serve.add_argument(
         "--worker-processes",
@@ -287,12 +272,6 @@ def _build_parser():
         "attached to one shared read-only snapshot mapping — the "
         "multi-core serving path (default 0 = in-process threads "
         "only)",
-    )
-    p_serve.add_argument(
-        "--parallel-mode",
-        choices=("thread", "process"),
-        default="thread",
-        help="default scheduler for multi-worker /batch requests",
     )
     p_serve.add_argument(
         "--max-inflight",
@@ -674,10 +653,6 @@ def _cmd_batch(args):
         raise ReproError(
             "--plan-cache-size must be >= 1, got %d" % args.plan_cache_size
         )
-    if args.workers < 1:
-        raise ReproError(
-            "--workers must be >= 1, got %d" % args.workers
-        )
     if args.result_cache_size < 1:
         raise ReproError(
             "--result-cache-size must be >= 1, got %d (use "
@@ -712,12 +687,7 @@ def _cmd_batch(args):
         portfolio_failure_probability=args.portfolio_failure_probability,
         portfolio_seed=args.portfolio_seed,
     )
-    batch = engine.run_batch(
-        queries,
-        workers=args.workers,
-        mode=args.parallel_mode,
-        max_path_edges=args.max_path_edges,
-    )
+    batch = engine.run_batch(queries, max_path_edges=args.max_path_edges)
     if args.jsonl:
         _write_jsonl(args.jsonl, batch.results)
     for result in batch.results:
@@ -883,7 +853,6 @@ def _cmd_serve(args):
         try:
             config = ServiceConfig(
                 workers=args.workers,
-                parallel_mode=args.parallel_mode,
                 max_inflight=args.max_inflight,
                 shed_policy=args.shed_policy,
                 soft_inflight=args.soft_inflight,

@@ -29,14 +29,12 @@ than a BFS), and portfolio-routed queries skip it because the
 ladder's first rung is the same probe.
 
 Plans are frozen and solvers re-entrant (per-query state lives in an
-:class:`~repro.execution.ExecutionContext`), so ``run_batch`` can shard
-a workload across a thread pool: queries on the same language share one
-plan, compiled exactly once even under contention (single-flight), and
-results come back in input order with per-query error isolation — the
-same contract as serial execution.  ``mode="process"`` swaps the thread
-pool for worker processes (each with its own engine over the same
-compiled graph), which sidesteps the GIL for CPU-bound workloads on
-standard CPython builds.
+:class:`~repro.execution.ExecutionContext`), so concurrent ``query``
+calls share one engine: a language is compiled exactly once even under
+contention (single-flight).  ``run_batch`` answers a batch serially, in
+input order, with per-query error isolation; batches that need more
+than one core go through :class:`repro.service.workers.WorkerPool`,
+which shards plan groups over processes attached to one snapshot.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter, OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional
 
@@ -67,6 +64,20 @@ from .vectorized import VectorizedBatchStats, sweep_group, sweepable
 
 #: Strategy marker for queries that raised instead of answering.
 STRATEGY_ERROR = "error"
+
+
+def error_text(err: BaseException) -> str:
+    """The message a failed query reports for ``err``.
+
+    A :class:`~repro.errors.ReproError` is the query's own failure
+    (bad input, exhausted budget or deadline) and reports its message.
+    Anything else is an internal fault, reported as
+    ``internal_error: <type>: <message>``.
+    """
+    if isinstance(err, ReproError):
+        return str(err)
+    return "internal_error: %s: %s" % (type(err).__name__, err)
+
 
 #: Plan strategies the shared product sweep understands; anything else
 #: (a hypothetical weighted/exotic plan) falls back to per-query solving.
@@ -132,15 +143,15 @@ class BatchResult:
     results: list[EngineResult]
     seconds: float
     #: Real :class:`PlanCacheStats` accumulated during this batch (the
-    #: delta over the engine's cache; summed over workers in process
-    #: mode).  Unlike per-result accounting this counts plans that were
-    #: compiled but whose query then errored.
+    #: delta over the engine's cache; summed over the shards of a
+    #: ``WorkerPool`` batch).  Unlike per-result accounting this counts
+    #: plans that were compiled but whose query then errored.
     cache_stats: Optional[PlanCacheStats] = None
-    #: Worker threads/processes the batch ran with (1 = serial).
+    #: Worker processes the batch was sharded over (1 = serial).
     workers: int = 1
     #: Result-cache counter deltas for this batch (None when the
-    #: engine's result cache is disabled; summed over workers in
-    #: process mode).
+    #: engine's result cache is disabled; summed over the shards of a
+    #: ``WorkerPool`` batch).
     result_cache_stats: Optional["ResultCacheStats"] = None
     #: Vectorized-execution counters — groups formed, sweeps run,
     #: members peeled by cache/short-circuit, sweep-proven negatives —
@@ -370,36 +381,6 @@ class _ResultCache:
             )
 
 
-def _process_shard(graph, engine_kwargs, shard, overrides,
-                   vectorized=False):
-    """Worker-process entry point: answer one shard of indexed queries.
-
-    Builds a private engine over the (inherited or pickled) compiled
-    graph, so plans are compiled per process — cheap relative to the
-    shard and unavoidable, since plans cannot cross process boundaries.
-    ``vectorized`` shards re-group their queries by plan key (the
-    parent ships whole groups, so grouping reconstructs exactly the
-    groups a serial vectorized run would sweep).  Returns the indexed
-    results plus the worker's cache and vectorization counters.
-    """
-    engine = QueryEngine(graph, **engine_kwargs)
-    if vectorized:
-        results, vec_stats = engine._run_batch_vectorized_indexed(
-            shard, overrides, engine.group_min_size
-        )
-    else:
-        vec_stats = None
-        results = [
-            (index, engine._run_single(language, source, target,
-                                       **overrides))
-            for index, (language, source, target) in shard
-        ]
-    return (
-        results, engine.cache_stats(), engine.result_cache_stats(),
-        vec_stats,
-    )
-
-
 @dataclass
 class _PendingQuery:
     """A group member past the serial prefix, awaiting sweep/solver.
@@ -430,8 +411,8 @@ class QueryEngine:
 
     The engine is thread-safe: plans are immutable, the plan cache
     locks internally, and per-query state travels in a fresh
-    :class:`~repro.execution.ExecutionContext`; :meth:`run_batch` uses
-    this to run shards of a workload concurrently.
+    :class:`~repro.execution.ExecutionContext`, so the serving tier
+    may run many :meth:`query` calls on one engine at once.
 
     Parameters
     ----------
@@ -626,11 +607,9 @@ class QueryEngine:
         """Path of the snapshot backing this engine's graph, or None.
 
         Set when the compiled graph was loaded from, attached to, or
-        saved as a snapshot file.  A snapshot-backed engine's
-        process-mode batches ship the *path* to the workers (which
-        attach the shared mapping) instead of pickling the arrays, and
-        the pre-fork pool (:class:`repro.service.workers.WorkerPool`)
-        points its workers at the same file.
+        saved as a snapshot file; the pre-fork pool
+        (:class:`repro.service.workers.WorkerPool`) points its workers
+        at this file.
         """
         return getattr(self.graph, "_snapshot_path", None)
 
@@ -664,13 +643,13 @@ class QueryEngine:
 
         Returns ``(plan, cache_hit)``.  Under concurrent misses on the
         same key exactly one caller compiles (single-flight); the
-        others wait for its insertion and count as cache hits, so a
-        batch never compiles one language twice however many workers
-        race on it.
+        others wait for its insertion and count as cache hits, so
+        concurrent queries never compile one language twice however
+        many threads race on it.
         """
         key = plan_key(language)
         # Optimistic fast path: warm hits never touch the compile lock,
-        # so a hot cache scales across workers instead of serializing.
+        # so a hot cache scales across threads instead of serializing.
         plan = self.plan_cache.get(key)
         if plan is not None:
             return plan, True
@@ -1006,14 +985,9 @@ class QueryEngine:
                       err):
         """The isolated-failure result batch mode returns for ``err``.
 
-        A :class:`~repro.errors.ReproError` is the query's own failure
-        (bad input, exhausted budget or deadline) and reports its
-        message.  Anything else is an internal fault, reported as
-        ``internal_error: <type>: <message>`` — still one errored
-        query, so the rest of the batch survives it.
+        The message is :func:`error_text`; an internal fault is still
+        one errored query, so the rest of the batch survives it.
         """
-        if not isinstance(err, ReproError):
-            err = "internal_error: %s: %s" % (type(err).__name__, err)
         return EngineResult(
             language=language,
             source=source,
@@ -1028,7 +1002,7 @@ class QueryEngine:
                 plan_cache_hit=cache_hit,
                 seconds=time.perf_counter() - start,
             ),
-            error=str(err),
+            error=error_text(err),
         )
 
     def _probe_short_circuit(self, view, plan, source, target):
@@ -1307,9 +1281,8 @@ class QueryEngine:
     def _run_batch_vectorized_indexed(self, indexed, overrides, min_size):
         """Answer ``(position, query)`` pairs through plan-key groups.
 
-        The building block every vectorized schedule shares: serial
-        passes the whole batch, thread tasks pass one group each, and
-        process workers pass their shard (whole groups by
+        Serial :meth:`run_batch` passes the whole batch; a
+        ``WorkerPool`` worker passes its shard (whole groups by
         construction, so re-grouping here reconstructs them exactly).
         Returns unordered ``(position, result)`` pairs plus the
         :class:`VectorizedBatchStats` for this slice.
@@ -1335,8 +1308,7 @@ class QueryEngine:
             ))
         return results, stats
 
-    def run_batch(self, queries: Iterable[tuple], workers: int = 1,
-                  mode: str = "thread",
+    def run_batch(self, queries: Iterable[tuple],
                   deadline_seconds: float | None = None,
                   budget: int | None = None,
                   vectorize: bool | None = None,
@@ -1345,27 +1317,20 @@ class QueryEngine:
                   max_path_edges: int | None = None) -> BatchResult:
         """Answer an iterable of ``(language, source, target)`` triples.
 
-        Queries run against the shared indexed graph; plans are
-        compiled at most once per distinct language (LRU permitting —
-        single-flight even under contention).  A query that raises
+        Queries run serially against the shared indexed graph; plans
+        are compiled at most once per distinct language (LRU
+        permitting).  A query that raises
         :class:`~repro.errors.ReproError` (unknown vertex, bad regex,
         exceeded budget/deadline) does not abort the batch: it yields
         an :class:`EngineResult` with ``error`` set and the remaining
         queries still run.  Results always come back in input order.
 
+        For more than one core, shard the batch over a
+        :class:`repro.service.workers.WorkerPool` on this engine's
+        snapshot; its answers are identical, path for path.
+
         Parameters
         ----------
-        workers:
-            Concurrency degree; 1 (default) runs serially.  Results
-            are identical, path for path, for every worker count.
-        mode:
-            ``"thread"`` (default) shares this engine's plan cache
-            across a thread pool — the right choice whenever plan
-            compilation dominates, and for true CPU scaling on
-            free-threaded builds.  ``"process"`` shards across worker
-            processes, each with a private engine over the same
-            compiled graph — CPU scaling on GIL builds at the price of
-            per-process plan compiles.
         deadline_seconds / budget:
             Per-batch overrides of the engine defaults, applied to
             every query's execution context (each query still gets its
@@ -1390,12 +1355,6 @@ class QueryEngine:
         ``stats`` reports the vectorized-execution counters (None with
         ``vectorize=False``).
         """
-        if workers < 1:
-            raise ValueError("workers must be >= 1, got %d" % workers)
-        if mode not in ("thread", "process"):
-            raise ValueError(
-                "mode must be 'thread' or 'process', got %r" % (mode,)
-            )
         self._check_overrides(deadline_seconds, budget, max_path_edges)
         use_vectorize = self.vectorize if vectorize is None else vectorize
         min_size = (
@@ -1413,57 +1372,27 @@ class QueryEngine:
             "max_path_edges": max_path_edges,
         }
         query_list = list(queries)
-        effective_workers = max(1, min(workers, len(query_list)))
         start = time.perf_counter()
+        plan_before = self.cache_stats()
+        results_before = self.result_cache_stats()
         vec_stats = None
-        if effective_workers == 1:
-            before = self.cache_stats()
-            results_before = self.result_cache_stats()
-            if use_vectorize:
-                pairs, vec_stats = self._run_batch_vectorized_indexed(
-                    list(enumerate(query_list)), overrides, min_size
-                )
-                results = [None] * len(query_list)
-                for index, result in pairs:
-                    results[index] = result
-            else:
-                results = [
-                    self._run_single(language, source, target, **overrides)
-                    for language, source, target in query_list
-                ]
-            cache_stats = self.plan_cache.stats_delta(before)
-            result_cache_stats = self._result_cache_delta(results_before)
-        elif mode == "thread":
-            before = self.cache_stats()
-            results_before = self.result_cache_stats()
-            if use_vectorize:
-                results, vec_stats = self._run_batch_threads_vectorized(
-                    query_list, effective_workers, overrides, min_size
-                )
-            else:
-                results = self._run_batch_threads(
-                    query_list, effective_workers, overrides
-                )
-            cache_stats = self.plan_cache.stats_delta(before)
-            result_cache_stats = self._result_cache_delta(results_before)
-        elif use_vectorize:
-            results, cache_stats, result_cache_stats, vec_stats = (
-                self._run_batch_processes_vectorized(
-                    query_list, effective_workers, overrides, min_size
-                )
+        if use_vectorize:
+            pairs, vec_stats = self._run_batch_vectorized_indexed(
+                list(enumerate(query_list)), overrides, min_size
             )
+            results = [None] * len(query_list)
+            for index, result in pairs:
+                results[index] = result
         else:
-            results, cache_stats, result_cache_stats = (
-                self._run_batch_processes(
-                    query_list, effective_workers, overrides
-                )
-            )
+            results = [
+                self._run_single(language, source, target, **overrides)
+                for language, source, target in query_list
+            ]
         return BatchResult(
             results=results,
             seconds=time.perf_counter() - start,
-            cache_stats=cache_stats,
-            workers=effective_workers,
-            result_cache_stats=result_cache_stats,
+            cache_stats=self.plan_cache.stats_delta(plan_before),
+            result_cache_stats=self._result_cache_delta(results_before),
             stats=vec_stats,
         )
 
@@ -1471,64 +1400,6 @@ class QueryEngine:
         if self._result_cache is None:
             return None
         return self.result_cache_stats().since(earlier)
-
-    # -- parallel schedulers -----------------------------------------------------
-
-    def _run_batch_threads(self, queries, workers, overrides):
-        """Strided shards over a thread pool; input-order results."""
-        results = [None] * len(queries)
-
-        def run_shard(offset):
-            for index in range(offset, len(queries), workers):
-                language, source, target = queries[index]
-                results[index] = self._run_single(
-                    language, source, target, **overrides
-                )
-
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-batch"
-        ) as pool:
-            futures = [
-                pool.submit(run_shard, offset) for offset in range(workers)
-            ]
-            for future in futures:
-                future.result()
-        return results
-
-    def _run_batch_threads_vectorized(self, queries, workers, overrides,
-                                      min_size):
-        """Vectorized thread schedule: one pool task per plan group.
-
-        Groups are formed once here, so the sweep compositions — and
-        therefore every member's charged steps — are identical to a
-        serial vectorized run of the same batch.  Ungroupable queries
-        (no plan key) run in strided per-query shards alongside.
-        """
-        groups, ungroupable = group_by_plan(list(enumerate(queries)))
-        tasks = list(groups.values())
-        if ungroupable:
-            stride = min(workers, len(ungroupable))
-            tasks.extend(
-                ungroupable[offset::stride] for offset in range(stride)
-            )
-        results = [None] * len(queries)
-        total = VectorizedBatchStats()
-        with ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-batch"
-        ) as pool:
-            futures = [
-                pool.submit(
-                    self._run_batch_vectorized_indexed, task, overrides,
-                    min_size,
-                )
-                for task in tasks
-            ]
-            for future in futures:
-                pairs, task_stats = future.result()
-                for index, result in pairs:
-                    results[index] = result
-                total = total + task_stats
-        return results, total
 
     def _worker_engine_kwargs(self):
         """Constructor kwargs reproducing this engine in a worker process."""
@@ -1551,86 +1422,3 @@ class QueryEngine:
             ),
             "portfolio_seed": self.portfolio_seed,
         }
-
-    def _run_batch_processes(self, queries, workers, overrides):
-        """Strided shards over worker processes; input-order results."""
-        shards = [
-            [
-                (index, queries[index])
-                for index in range(offset, len(queries), workers)
-            ]
-            for offset in range(workers)
-        ]
-        results, cache_stats, result_cache_stats, _vec = (
-            self._collect_process_shards(
-                shards, self._worker_engine_kwargs(), overrides,
-                vectorized=False, workers=workers,
-                total=len(queries),
-            )
-        )
-        return results, cache_stats, result_cache_stats
-
-    def _run_batch_processes_vectorized(self, queries, workers, overrides,
-                                        min_size):
-        """Vectorized process schedule: whole groups shipped to workers.
-
-        Groups are formed once in the parent and assigned whole to
-        workers (largest first onto the least-loaded worker, ties by
-        first batch position — deterministic), so each worker re-groups
-        its shard into exactly the groups formed here and sweeps them
-        as serial execution would.  Ungroupable queries stride across
-        the workers.
-        """
-        groups, ungroupable = group_by_plan(list(enumerate(queries)))
-        shards = [[] for _ in range(workers)]
-        loads = [0] * workers
-        ordered = sorted(
-            groups.values(),
-            key=lambda members: (-len(members), members[0][0]),
-        )
-        for members in ordered:
-            worker = loads.index(min(loads))
-            shards[worker].extend(members)
-            loads[worker] += len(members)
-        for offset, item in enumerate(ungroupable):
-            shards[offset % workers].append(item)
-        engine_kwargs = self._worker_engine_kwargs()
-        engine_kwargs["vectorize"] = True
-        engine_kwargs["group_min_size"] = min_size
-        return self._collect_process_shards(
-            shards, engine_kwargs, overrides, vectorized=True,
-            workers=workers, total=len(queries),
-        )
-
-    def _collect_process_shards(self, shards, engine_kwargs, overrides,
-                                vectorized, workers, total):
-        """Run shards on a process pool and merge results and counters."""
-        results = [None] * total
-        cache_stats = PlanCacheStats()
-        result_cache_stats = (
-            ResultCacheStats() if self._result_cache is not None else None
-        )
-        vec_stats = VectorizedBatchStats() if vectorized else None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _process_shard, self.graph, engine_kwargs, shard,
-                    overrides, vectorized,
-                )
-                for shard in shards
-                if shard
-            ]
-            for future in futures:
-                shard_results, shard_stats, shard_result_stats, shard_vec = (
-                    future.result()
-                )
-                for index, result in shard_results:
-                    results[index] = result
-                cache_stats = cache_stats + shard_stats
-                if result_cache_stats is not None:
-                    result_cache_stats = (
-                        result_cache_stats + shard_result_stats
-                    )
-                if vec_stats is not None and shard_vec is not None:
-                    vec_stats = vec_stats + shard_vec
-        return results, cache_stats, result_cache_stats, vec_stats

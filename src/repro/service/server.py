@@ -36,10 +36,13 @@ Endpoints (all request/response bodies are JSON):
     504 deadline exceeded.
 ``POST /batch``
     ``{"graph"?, "queries": [[language, source, target], ...],
-    "workers"?, "mode"?, "deadline_seconds"?, "budget"?,
-    "vectorize"?, "group_min_size"?, "portfolio"?,
-    "max_path_edges"?}`` — a batch dispatched into
-    :meth:`QueryEngine.run_batch` worker pools.  ``vectorize`` /
+    "workers"?, "deadline_seconds"?, "budget"?, "vectorize"?,
+    "group_min_size"?, "portfolio"?, "max_path_edges"?}`` — a batch.
+    A graph served by a worker pool shards it over at most
+    ``workers`` pool processes (capped by the service's ``workers``);
+    any other graph answers it serially with
+    :meth:`QueryEngine.run_batch` and reports ``workers: 1``.
+    ``vectorize`` /
     ``group_min_size`` override the engine's vectorized-execution
     knobs for this batch (grouped queries sharing a plan sweep the
     product graph together; the response's ``vectorized_stats`` block
@@ -83,6 +86,7 @@ from ..errors import (
     ServiceOverloadedError,
     WorkerCrashError,
 )
+from ..engine.engine import error_text
 from ..engine.plan import PlanCache, QueryPlan, plan_key
 from ..core.trichotomy import classify
 from ..graphs import io as graph_io
@@ -132,10 +136,8 @@ class ServiceConfig:
     Parameters
     ----------
     workers:
-        Size of the solve executor and the default (and maximum)
-        ``workers`` for ``/batch`` requests.
-    parallel_mode:
-        Default scheduler for multi-worker batches.
+        Size of the solve executor and the maximum ``workers`` a
+        ``/batch`` request may shard a pool-backed graph over.
     max_inflight:
         Admission-control bound on simultaneously in-flight queries.
     read_timeout:
@@ -164,7 +166,6 @@ class ServiceConfig:
     """
 
     workers: int = 4
-    parallel_mode: str = "thread"
     max_inflight: int = 64
     read_timeout: float = 30.0
     shed_policy: str = "deadline"
@@ -183,11 +184,6 @@ class ServiceConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1, got %d" % self.workers)
-        if self.parallel_mode not in ("thread", "process"):
-            raise ValueError(
-                "parallel_mode must be 'thread' or 'process', got %r"
-                % (self.parallel_mode,)
-            )
         if self.max_inflight < 1:
             raise ValueError(
                 "max_inflight must be >= 1, got %d" % self.max_inflight
@@ -649,7 +645,6 @@ class QueryService:
                 "inflight": self.shedder.inflight,
                 "max_inflight": self.config.max_inflight,
                 "workers": self.config.workers,
-                "parallel_mode": self.config.parallel_mode,
                 "requests": self._requests,
                 "rejected": self._rejected,
                 "errors": self._errors,
@@ -757,7 +752,7 @@ class QueryService:
                     max_path_edges=max_path_edges,
                 )
             )
-        except ReproError as err:
+        except Exception as err:
             failure = err
         finally:
             self.shedder.release(1)
@@ -766,6 +761,13 @@ class QueryService:
             # Failed queries count in the per-graph stats exactly as
             # they would inside a batch (queries and errors both move).
             entry.record_query_failure(seconds)
+            if not isinstance(failure, ReproError):
+                # An internal fault: the batch record's text, still a
+                # server error.
+                raise ServiceError(
+                    error_text(failure), status=500,
+                    error_type="internal_error",
+                ) from failure
             if isinstance(failure, DeadlineExceededError):
                 raise ServiceError(
                     "query exceeded its deadline: %s" % failure, status=504
@@ -894,11 +896,6 @@ class QueryService:
                 "'workers' must be a positive integer, got %r" % (workers,)
             )
         workers = min(workers, self.config.workers)
-        mode = payload.get("mode", self.config.parallel_mode)
-        if mode not in ("thread", "process"):
-            raise ServiceError(
-                "'mode' must be 'thread' or 'process', got %r" % (mode,)
-            )
         vectorize = payload.get("vectorize")
         if vectorize is not None and not isinstance(vectorize, bool):
             raise ServiceError(
@@ -915,35 +912,22 @@ class QueryService:
                 % (group_min_size,)
             )
         self._admit(len(triples), deadline)
+        knobs = {
+            "deadline_seconds": deadline,
+            "budget": budget,
+            "vectorize": vectorize,
+            "group_min_size": group_min_size,
+            "portfolio": portfolio,
+            "max_path_edges": max_path_edges,
+        }
         if entry.pool is not None:
             # Pool dispatch: the batch is sharded across pre-forked
-            # workers attached to the shared snapshot ('mode' is
-            # irrelevant — the pool *is* the process mode, with the
-            # graph mapped once instead of pickled per worker).
+            # workers attached to the shared snapshot.
             run_batch = functools.partial(
-                entry.pool.run_batch,
-                triples,
-                workers=workers,
-                deadline_seconds=deadline,
-                budget=budget,
-                vectorize=vectorize,
-                group_min_size=group_min_size,
-                portfolio=portfolio,
-                max_path_edges=max_path_edges,
+                entry.pool.run_batch, triples, workers=workers, **knobs
             )
         else:
-            run_batch = functools.partial(
-                engine.run_batch,
-                triples,
-                workers=workers,
-                mode=mode,
-                deadline_seconds=deadline,
-                budget=budget,
-                vectorize=vectorize,
-                group_min_size=group_min_size,
-                portfolio=portfolio,
-                max_path_edges=max_path_edges,
-            )
+            run_batch = functools.partial(engine.run_batch, triples, **knobs)
         start = time.perf_counter()
         try:
             batch = await self._in_executor(run_batch)

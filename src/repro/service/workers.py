@@ -1,14 +1,11 @@
 """Pre-fork worker pool serving queries off one shared snapshot.
 
-The single-interpreter bottleneck: every solver in this repo runs
-under the GIL, so one process can saturate exactly one core no matter
-how many threads the service executor spawns.  The classic escape —
-``run_batch(mode="process")`` — used to pickle the whole compiled
-graph into every worker, multiplying memory by the worker count and
-dominating startup with array deserialisation.
-
-:class:`WorkerPool` replaces both costs with the snapshot file
-itself.  Workers are spawned with only a *path* and an engine config;
+Every solver in this repo runs under the GIL, so one process can
+saturate exactly one core no matter how many threads the service
+executor spawns.  :class:`WorkerPool` is the one multi-core path:
+serial :meth:`~repro.engine.QueryEngine.run_batch` answers in one
+process, and the pool spreads queries and batches over N processes.
+Workers are spawned with only a snapshot *path* and an engine config;
 each one attaches read-only to the mmapped snapshot
 (:func:`~repro.service.snapshot.attach_snapshot`) — zero array
 copies, so N workers share one physical copy of the graph through
@@ -37,11 +34,12 @@ is idempotent), and the request overrunning its deadline plus a
 grace period (the worker is presumed wedged, killed, respawned, and
 the caller gets :class:`~repro.errors.DeadlineExceededError`).
 
-Batch sharding reuses the engine's plan-group discipline: queries
-are grouped by compiled plan, groups placed largest-first onto the
-least-loaded worker, ungroupable leftovers strided — the same
-balancing ``run_batch(mode="process")`` uses, so pool answers are
-bit-identical to single-process answers.
+Batch sharding keeps the engine's plan groups whole: queries are
+grouped by compiled plan, groups placed largest-first onto the
+least-loaded shard, ungroupable leftovers strided.  Each worker
+re-groups its shard into exactly those groups and sweeps them as
+serial ``run_batch`` would, so pool answers are bit-identical to
+single-process answers.
 """
 
 from __future__ import annotations
@@ -675,10 +673,11 @@ class WorkerPool:
 
         Results land in input order and are bit-identical to
         ``QueryEngine.run_batch`` on the same snapshot: shards are
-        built with the engine's own plan grouping (largest group to
-        the least-loaded worker, leftovers strided), and each worker
+        built from the engine's plan groups (largest group to the
+        least-loaded shard, leftovers strided), and each worker
         answers its shard through the identical serial-or-vectorized
-        dispatch.
+        dispatch.  ``workers`` caps the shard count (default: every
+        pool process).
         """
         query_list = list(queries)
         QueryEngine._check_overrides(deadline_seconds, budget, max_path_edges)

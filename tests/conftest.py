@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import os
 import random
+import tempfile
 
 import pytest
 
+from repro.engine import IndexedGraph
 from repro.graphs.generators import random_labeled_graph
+from repro.service import save_snapshot
+from repro.service.workers import WorkerPool
 
 
 @pytest.fixture
@@ -28,3 +34,19 @@ def paths_agree(path_a, path_b):
     if (path_a is None) != (path_b is None):
         return False
     return path_a is None or len(path_a) == len(path_b)
+
+
+@contextlib.contextmanager
+def worker_pool(graph, workers=2, **engine_kwargs):
+    """A :class:`WorkerPool` over a fresh snapshot of ``graph``.
+
+    The snapshot lives in a private temporary directory, so the helper
+    also works inside hypothesis tests (no function-scoped fixtures).
+    """
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "graph.snap")
+        save_snapshot(IndexedGraph(graph), path)
+        with WorkerPool(
+            path, engine_kwargs=engine_kwargs, workers=workers
+        ) as pool:
+            yield pool

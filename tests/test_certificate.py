@@ -32,7 +32,7 @@ from repro.core.solver import (
     RspqSolver,
 )
 from repro.engine import IndexedGraph, QueryEngine
-from repro.errors import BudgetExceededError
+from repro.errors import BudgetExceededError, ServiceError
 from repro.execution import ExecutionContext
 from repro.graphs.dbgraph import DbGraph
 from repro.graphs.generators import labeled_path
@@ -288,9 +288,8 @@ class TestInternalFaultIsolation:
     """A non-ReproError fails its own query only, never the batch."""
 
     @staticmethod
-    def _faulty_engine(monkeypatch, **kwargs):
-        graph = labeled_path("aaaaaa")
-        engine = QueryEngine(graph, result_cache=False, **kwargs)
+    def _break_source_one(monkeypatch, engine):
+        """Make every source-1 query raise a non-ReproError."""
         real = engine._walk_certificate
 
         def faulty(view, plan, source, target, ctx):
@@ -300,6 +299,13 @@ class TestInternalFaultIsolation:
 
         monkeypatch.setattr(engine, "_walk_certificate", faulty)
         return engine
+
+    @classmethod
+    def _faulty_engine(cls, monkeypatch, **kwargs):
+        engine = QueryEngine(
+            labeled_path("aaaaaa"), result_cache=False, **kwargs
+        )
+        return cls._break_source_one(monkeypatch, engine)
 
     @pytest.mark.parametrize("vectorize", [False, True])
     def test_other_queries_survive(self, monkeypatch, vectorize):
@@ -319,6 +325,26 @@ class TestInternalFaultIsolation:
         engine = self._faulty_engine(monkeypatch)
         with pytest.raises(RuntimeError):
             engine.query("a*", 1, 3)
+
+    def test_query_endpoint_counts_the_fault_like_batch(self, monkeypatch):
+        registry = GraphRegistry()
+        entry = registry.register("g", labeled_path("aaaaaa"))
+        self._break_source_one(monkeypatch, entry.engine)
+        service = QueryService(registry, ServiceConfig(workers=1))
+        with ServiceThread(service) as running:
+            client = ServiceClient(port=running.port)
+            with pytest.raises(ServiceError) as info:
+                client.query("a*", 1, 3)
+            batch = client.batch([("a*", 1, 3)])
+            stats = client.stats()
+        assert info.value.status == 500
+        assert info.value.error_type == "internal_error"
+        assert str(info.value) == batch["results"][0]["error"] == (
+            "internal_error: RuntimeError: solver blew up"
+        )
+        (graph_stats,) = stats["graphs"]
+        assert graph_stats["queries"] == 2
+        assert graph_stats["errors"] == 2
 
 
 class TestServiceReporting:

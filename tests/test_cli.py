@@ -197,21 +197,6 @@ class TestBatch:
         assert "word abbc" in out  # the good query still ran
         assert "1 errors" in out
 
-    def test_batch_workers_same_answers(
-        self, capsys, graph_file, queries_file
-    ):
-        serial_code = main(["batch", graph_file, queries_file])
-        serial_out = capsys.readouterr().out
-        parallel_code = main(
-            ["batch", graph_file, queries_file, "--workers", "3"]
-        )
-        parallel_out = capsys.readouterr().out
-        assert parallel_code == serial_code
-        # Per-query lines are identical; only the summary (timing,
-        # worker count) may differ.
-        assert parallel_out.splitlines()[:-1] == serial_out.splitlines()[:-1]
-        assert "3 workers" in parallel_out
-
     def test_batch_nonpositive_budget_is_usage_error(
         self, capsys, graph_file, queries_file
     ):
@@ -228,13 +213,6 @@ class TestBatch:
         code = main(["solve", "a*ba*", graph_file, "s", "t", "--budget", "0"])
         assert code == 2
         assert "--budget" in capsys.readouterr().err
-
-    def test_batch_bad_workers(self, capsys, graph_file, queries_file):
-        code = main(
-            ["batch", graph_file, queries_file, "--workers", "0"]
-        )
-        assert code == 2
-        assert "--workers" in capsys.readouterr().err
 
     def test_batch_jsonl(self, capsys, graph_file, queries_file, tmp_path):
         out_path = tmp_path / "results.jsonl"

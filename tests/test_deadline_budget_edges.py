@@ -5,7 +5,7 @@ Two families of guarantees:
 * **Isolation** — a query that dies mid-batch on
   :class:`DeadlineExceededError` or an exhausted step budget poisons
   only itself: every other query in the batch completes with its
-  normal answer, in input order, under every scheduler.  The heavy
+  normal answer, in input order, serially and on a worker pool.  The heavy
   query is deterministic by construction: ``(aa)*`` from 0 to 1 on an
   odd 301-vertex a-cycle forces the exact solver through >256 context
   charges (a full deadline-check interval) with no simple witness,
@@ -22,6 +22,7 @@ import pytest
 from repro.engine import QueryEngine
 from repro.execution import ExecutionContext
 from repro.graphs.generators import labeled_cycle
+from tests.conftest import worker_pool
 
 #: Light companions for the heavy query: a finite language and a
 #: one-hop tractable reach, both confined to the tiny p/q/r component
@@ -42,15 +43,19 @@ def cycle():
     return graph
 
 
+def run_heavy_batch(graph, scheduler, **engine_kwargs):
+    """The light-heavy-light batch, serially or on a two-worker pool."""
+    queries = [LIGHT_BEFORE, HEAVY, LIGHT_AFTER]
+    if scheduler == "serial":
+        return QueryEngine(graph, **engine_kwargs).run_batch(queries)
+    with worker_pool(graph, **engine_kwargs) as pool:
+        return pool.run_batch(queries)
+
+
 class TestMidBatchIsolation:
-    @pytest.mark.parametrize("workers,mode", [
-        (1, "thread"), (3, "thread"), (2, "process"),
-    ])
-    def test_budget_exhaustion_isolates_offender(self, cycle, workers, mode):
-        engine = QueryEngine(cycle, exact_budget=50)
-        batch = engine.run_batch(
-            [LIGHT_BEFORE, HEAVY, LIGHT_AFTER], workers=workers, mode=mode
-        )
+    @pytest.mark.parametrize("scheduler", ["serial", "pool"])
+    def test_budget_exhaustion_isolates_offender(self, cycle, scheduler):
+        batch = run_heavy_batch(cycle, scheduler, exact_budget=50)
         before, heavy, after = batch.results
         assert heavy.error is not None
         assert "budget" in heavy.error
@@ -60,17 +65,12 @@ class TestMidBatchIsolation:
         assert after.found and after.path.word == "a"
         assert batch.error_count == 1
 
-    @pytest.mark.parametrize("workers,mode", [
-        (1, "thread"), (3, "thread"), (2, "process"),
-    ])
-    def test_deadline_isolates_offender(self, cycle, workers, mode):
+    @pytest.mark.parametrize("scheduler", ["serial", "pool"])
+    def test_deadline_isolates_offender(self, cycle, scheduler):
         # 1ns deadline: any query charging past one deadline-check
         # interval (256 charges) dies; the light queries charge far
         # fewer times and never look at the clock.
-        engine = QueryEngine(cycle, deadline_seconds=1e-9)
-        batch = engine.run_batch(
-            [LIGHT_BEFORE, HEAVY, LIGHT_AFTER], workers=workers, mode=mode
-        )
+        batch = run_heavy_batch(cycle, scheduler, deadline_seconds=1e-9)
         before, heavy, after = batch.results
         assert heavy.error is not None
         assert "deadline" in heavy.error

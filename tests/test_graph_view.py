@@ -6,8 +6,6 @@ order, and therefore feed the solver cores bit-identical inputs — the
 property the CSR-vs-DbGraph differential suite relies on.
 """
 
-import pickle
-
 import pytest
 
 from repro.engine.indexed import CsrView, IndexedGraph
@@ -195,11 +193,3 @@ class TestCsrViewLifecycle:
             for label_id in range(compiled_view.num_labels):
                 assert list(thawed_view.in_by_label(vertex_id, label_id)) \
                     == list(compiled_view.in_by_label(vertex_id, label_id))
-
-    def test_indexed_graph_pickles_without_view(self, graph):
-        indexed = IndexedGraph(graph)
-        _view = indexed.view()  # populate the cached view
-        clone = pickle.loads(pickle.dumps(indexed))
-        assert clone._view is None  # rebuilt lazily in the worker
-        assert list(clone.view().out(0)) == list(indexed.view().out(0))
-        assert clone.has_edge(*next(iter(indexed.edges())))

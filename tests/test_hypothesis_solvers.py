@@ -8,14 +8,16 @@ yes/no answer and same shortest length.
 The differential engine suite extends the same idea one layer up, in
 the spirit of configuration fuzzing: random graphs × random regexes
 (the seeded generator from ``benchmarks/workloads.py``), asserting
-that :class:`~repro.engine.QueryEngine` — serial, multi-threaded and
-multi-process batches alike — returns results **path-for-path
+that :class:`~repro.engine.QueryEngine` — serial batches, batches run
+from several threads on one shared engine, and batches sharded over a
+worker pool of processes alike — returns results **path-for-path
 identical** to direct per-query :class:`RspqSolver` evaluation.  Not
 just the same yes/no answer: the same vertices, the same label word,
 the same dispatched strategy.
 """
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from repro.core.solver import RspqSolver
 from repro.engine import IndexedGraph, QueryEngine
 from repro.graphs.dbgraph import DbGraph
 from repro.languages import language
+from tests.conftest import worker_pool
 
 
 @st.composite
@@ -137,6 +140,21 @@ def differential_workload(draw):
     return graph, queries
 
 
+def _threaded_batch(engine, queries, workers=3):
+    """``queries`` answered in round-robin shards on ``workers`` threads.
+
+    All threads share ``engine`` (as the service's executor threads
+    do); the shard results are reassembled in input order.
+    """
+    shards = [queries[i::workers] for i in range(workers)]
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        answers = list(executor.map(engine.run_batch, shards))
+    merged = [None] * len(queries)
+    for i, shard in enumerate(answers):
+        merged[i::workers] = list(shard)
+    return merged
+
+
 class TestEngineDifferential:
     """QueryEngine ≡ direct RspqSolver on random graphs × regexes."""
 
@@ -156,7 +174,7 @@ class TestEngineDifferential:
         graph, queries = workload
         engine = QueryEngine(graph)
         serial = engine.run_batch(queries)
-        threaded = engine.run_batch(queries, workers=3, mode="thread")
+        threaded = _threaded_batch(engine, queries)
         assert len(serial) == len(threaded) == len(queries)
         for (regex, source, target), one, other in zip(
             queries, serial, threaded
@@ -169,8 +187,8 @@ class TestEngineDifferential:
     @settings(max_examples=3, deadline=None)
     def test_run_batch_process_mode_matches_direct(self, workload):
         graph, queries = workload
-        engine = QueryEngine(graph)
-        batch = engine.run_batch(queries, workers=2, mode="process")
+        with worker_pool(graph) as pool:
+            batch = pool.run_batch(queries)
         assert len(batch) == len(queries)
         for (regex, source, target), result in zip(queries, batch):
             direct = RspqSolver(regex).solve(graph, source, target)
@@ -215,7 +233,7 @@ class TestCsrDbGraphDifferential:
         graph, queries = workload
         engine = QueryEngine(graph)  # CSR view end to end
         serial = engine.run_batch(queries)
-        threaded = engine.run_batch(queries, workers=3, mode="thread")
+        threaded = _threaded_batch(engine, queries)
         for (regex, source, target), one, other in zip(
             queries, serial, threaded
         ):
@@ -229,8 +247,8 @@ class TestCsrDbGraphDifferential:
     @settings(max_examples=3, deadline=None)
     def test_process_batches_match_dbgraph_direct(self, workload):
         graph, queries = workload
-        engine = QueryEngine(graph)
-        batch = engine.run_batch(queries, workers=2, mode="process")
+        with worker_pool(graph) as pool:
+            batch = pool.run_batch(queries)
         for (regex, source, target), result in zip(queries, batch):
             direct = RspqSolver(regex).solve(graph, source, target)
             _assert_identical(result, direct)

@@ -1,10 +1,12 @@
-"""Concurrency properties of the engine: shared frozen plans, parallel
-batches, single-flight compilation, per-query context isolation.
+"""Concurrency properties of the engine: shared frozen plans, concurrent
+queries, single-flight compilation, per-query context isolation.
 
-The core property: ``run_batch(queries, workers=N)`` is
-**observationally identical** to serial execution — same paths, same
-strategies, same per-query step counters (which would differ if two
-queries ever bled counters through a shared solver).
+Two kinds of concurrency remain: many threads calling ``engine.query``
+on one engine (what the service executor does), and a batch sharded
+over a :class:`~repro.service.workers.WorkerPool`.  The core property
+of both: **observationally identical** to serial execution — same
+paths, same strategies, same per-query step counters (which would
+differ if two queries ever bled counters through a shared solver).
 """
 
 import threading
@@ -18,7 +20,8 @@ from benchmarks.workloads import (
 )
 
 from repro.engine import QueryEngine
-from repro.errors import GraphError
+from repro.errors import GraphError, ReproError
+from tests.conftest import worker_pool
 
 WORKERS = 4
 
@@ -36,11 +39,49 @@ def workload():
     )
 
 
+@pytest.fixture(scope="module")
+def pool(workload):
+    graph, _queries = workload
+    with worker_pool(graph) as running:
+        yield running
+
+
+def query_concurrently(engine, queries, threads=WORKERS):
+    """Answer ``queries`` with ``engine.query`` from ``threads`` threads.
+
+    The threads start together on strided shards.  Results come back
+    in input order; a query that raised a ``ReproError`` is
+    represented by the exception.
+    """
+    results = [None] * len(queries)
+    barrier = threading.Barrier(threads)
+
+    def run_shard(offset):
+        barrier.wait(timeout=10)
+        for index in range(offset, len(queries), threads):
+            try:
+                results[index] = engine.query(*queries[index])
+            except ReproError as err:
+                results[index] = err
+
+    runners = [
+        threading.Thread(target=run_shard, args=(offset,))
+        for offset in range(threads)
+    ]
+    for runner in runners:
+        runner.start()
+    for runner in runners:
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+    return results
+
+
 class TestParallelMatchesSerial:
-    def test_paths_strategies_and_steps_identical(self, workload):
+    def test_paths_strategies_and_steps_identical(self, workload, pool):
         graph, queries = workload
         serial = QueryEngine(graph).run_batch(queries)
-        parallel = QueryEngine(graph).run_batch(queries, workers=WORKERS)
+        parallel = pool.run_batch(queries)
+        assert parallel.workers == 2
         assert len(parallel) == len(queries)
         for reference, result in zip(serial.results, parallel.results):
             assert result.found == reference.found
@@ -50,60 +91,55 @@ class TestParallelMatchesSerial:
             # no cross-query counter bleed through the shared plans.
             assert result.stats.steps == reference.stats.steps
 
-    def test_process_mode_identical(self, workload):
-        graph, queries = workload
-        serial = QueryEngine(graph).run_batch(queries)
-        parallel = QueryEngine(graph).run_batch(
-            queries, workers=2, mode="process"
-        )
-        for reference, result in zip(serial.results, parallel.results):
-            assert result.path == reference.path
-            assert result.strategy == reference.strategy
-            assert result.stats.steps == reference.stats.steps
-
-    def test_results_keep_input_order(self, workload):
-        graph, queries = workload
-        batch = QueryEngine(graph).run_batch(queries, workers=WORKERS)
+    def test_results_keep_input_order(self, workload, pool):
+        _graph, queries = workload
+        batch = pool.run_batch(queries)
         assert [
             (result.language, result.source, result.target)
             for result in batch.results
         ] == queries
+
+    def test_concurrent_queries_match_serial(self, workload):
+        graph, queries = workload
+        serial = QueryEngine(graph).run_batch(queries, vectorize=False)
+        concurrent = query_concurrently(QueryEngine(graph), queries)
+        for reference, result in zip(serial.results, concurrent):
+            assert result.path == reference.path
+            assert result.strategy == reference.strategy
+            assert result.stats.steps == reference.stats.steps
 
 
 class TestSingleFlightCompilation:
     def test_distinct_languages_compiled_exactly_once(self, workload):
         graph, queries = workload
         engine = QueryEngine(graph)
-        batch = engine.run_batch(queries, workers=WORKERS)
-        assert batch.cache_stats.compiles == len(
-            distinct_languages(queries)
-        )
-        assert batch.cache_stats.evictions == 0
+        query_concurrently(engine, queries)
+        stats = engine.cache_stats()
+        assert stats.compiles == len(distinct_languages(queries))
+        assert stats.evictions == 0
 
     def test_hot_language_contention(self, workload):
         graph, _queries = workload
         vertices = list(graph.vertices())
-        # Every worker hammers the same cold language at the same time.
+        # Every thread hammers the same cold language at the same time.
         queries = [
             ("a*(bb^+ + eps)c*", vertices[i % len(vertices)],
              vertices[(i + 7) % len(vertices)])
             for i in range(40)
         ]
         engine = QueryEngine(graph)
-        batch = engine.run_batch(queries, workers=WORKERS)
-        assert batch.cache_stats.compiles == 1
-        assert batch.error_count == 0
+        results = query_concurrently(engine, queries)
+        assert engine.cache_stats().compiles == 1
+        assert not any(isinstance(r, ReproError) for r in results)
 
     def test_stats_sanity(self, workload):
         graph, queries = workload
         engine = QueryEngine(graph)
-        batch = engine.run_batch(queries, workers=WORKERS)
-        stats = batch.cache_stats
+        results = query_concurrently(engine, queries)
+        stats = engine.cache_stats()
         assert stats.lookups == stats.hits + stats.misses
         assert stats.hits + stats.compiles >= len(queries)
-        assert all(result.stats.seconds >= 0 for result in batch.results)
-        assert batch.error_count == 0
-        assert engine.cache_stats().compiles == stats.compiles
+        assert all(result.stats.seconds >= 0 for result in results)
 
     def test_concurrent_query_calls_share_one_plan(self, workload):
         """Raw engine.query from many threads: one compile, no errors."""
@@ -144,47 +180,47 @@ class TestParallelErrorIsolation:
         poisoned[3] = ("a*", "missing-vertex", poisoned[3][2])
         poisoned[17] = ("((((", poisoned[17][1], poisoned[17][2])
         serial = QueryEngine(graph).run_batch(poisoned)
-        parallel = QueryEngine(graph).run_batch(poisoned, workers=WORKERS)
-        assert parallel.error_count == serial.error_count == 2
-        for reference, result in zip(serial.results, parallel.results):
-            assert (result.error is None) == (reference.error is None)
-            assert result.path == reference.path
+        concurrent = query_concurrently(QueryEngine(graph), poisoned)
+        failed = [
+            index for index, result in enumerate(concurrent)
+            if isinstance(result, ReproError)
+        ]
+        assert failed == [3, 17]
+        assert serial.error_count == 2
+        for reference, result in zip(serial.results, concurrent):
+            if isinstance(result, ReproError):
+                assert reference.error == str(result)
+            else:
+                assert reference.error is None
+                assert result.path == reference.path
 
     def test_single_query_api_still_raises_in_parallel_engine(
         self, workload
     ):
         graph, _queries = workload
         engine = QueryEngine(graph)
-        engine.run_batch(
-            [("a*", 0, 1)], workers=2
-        )  # engine has served a parallel batch
+        # The engine has served concurrent queries.
+        query_concurrently(engine, [("a*", 0, 1)] * WORKERS)
         with pytest.raises(GraphError):
             engine.query("a*", "nope", 1)
 
 
 class TestRunBatchArguments:
-    def test_rejects_zero_workers(self, workload):
-        graph, queries = workload
+    def test_rejects_zero_workers(self, workload, pool):
+        _graph, queries = workload
         with pytest.raises(ValueError):
-            QueryEngine(graph).run_batch(queries, workers=0)
+            pool.run_batch(queries, workers=0)
 
-    def test_rejects_unknown_mode(self, workload):
-        graph, queries = workload
-        with pytest.raises(ValueError):
-            QueryEngine(graph).run_batch(queries, mode="fiber")
-
-    def test_workers_clamped_to_queries(self, workload):
-        graph, _queries = workload
-        batch = QueryEngine(graph).run_batch(
-            [("a*", 0, 1)], workers=WORKERS
-        )
+    def test_workers_clamped_to_queries(self, pool):
+        batch = pool.run_batch([("a*", 0, 1)], workers=WORKERS)
         assert batch.workers == 1
         assert len(batch) == 1
 
     def test_empty_batch(self, workload):
         graph, _queries = workload
-        batch = QueryEngine(graph).run_batch([], workers=WORKERS)
+        batch = QueryEngine(graph).run_batch([])
         assert len(batch) == 0
+        assert batch.workers == 1
         assert batch.cache_stats.compiles == 0
 
     def test_workload_generator_is_deterministic(self):

@@ -8,6 +8,8 @@ and must invalidate cached results — two identical queries with a
 mutation in between see two different graphs.
 """
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.core.solver import RspqSolver
@@ -160,10 +162,19 @@ class TestBatchIntegration:
 
     def test_threaded_batch_shares_the_cache(self):
         engine = QueryEngine(_graph())
-        queries = [("a*b", 0, 3)] * 12
-        batch = engine.run_batch(queries, workers=4, mode="thread")
-        assert batch.found_count == 12
-        assert batch.result_cache_stats.hits >= 8  # all but the racers
+        workers = 4
+
+        def run_shard():
+            return [engine.query("a*b", 0, 3) for _ in range(3)]
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            shards = [pool.submit(run_shard) for _ in range(workers)]
+            results = [
+                r for shard in shards for r in shard.result(timeout=60)
+            ]
+        assert sum(result.found for result in results) == 12
+        # All but the racers.
+        assert engine.result_cache_stats().hits >= 8
 
 
 class TestMutationInvalidation:

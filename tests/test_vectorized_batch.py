@@ -2,8 +2,8 @@
 
 The contract under test, end to end: ``run_batch`` with vectorization
 on answers every query **identically** — found/path/strategy/error,
-field for field — to the strictly per-query path, under every
-scheduler (serial, thread pool, worker processes).  The sweep may only
+field for field — to the strictly per-query path, serially and sharded
+over a :class:`~repro.service.workers.WorkerPool`.  The sweep may only
 change *how* an answer is produced (proven negatives skip the solver;
 positives fall back to it), never *what* the answer is.
 
@@ -16,7 +16,7 @@ Structure:
   outcome class (fallback positive, swept negative, peeled
   short-circuit, deferred duplicate) is forced by construction;
 * hypothesis/randomized differential sweeps over mixed-regime
-  workloads comparing all schedulers;
+  workloads comparing serial and pooled batches;
 * serving-counter parity: a vectorized registry reports the same
   plan-cache / result-cache / per-graph counters as a serial one;
 * the knob surface: engine + ``run_batch`` validation, ``/batch``
@@ -51,14 +51,16 @@ from repro.service import (
     ServiceThread,
 )
 from repro.service.protocol import RESULT_FIELDS, batch_record
+from tests.conftest import worker_pool
 
 
 def assert_same_answers(reference, results, include_stats=False):
     """Field-for-field identity of two result lists.
 
     ``include_stats`` additionally pins steps and per-query flags —
-    used across schedulers of the *same* execution strategy, where
-    even the accounting must not depend on worker count.
+    used between serial and pooled runs of the *same* execution
+    strategy, where even the accounting must not depend on worker
+    count.
     """
     assert len(results) == len(reference)
     for ref, res in zip(reference, results):
@@ -288,18 +290,13 @@ class TestGroupedMatchesSerialDeterministic:
     def test_schedulers_agree_with_serial_vectorized(self, graph):
         queries = SWEEP_QUERIES * 3
         reference = QueryEngine(graph).run_batch(queries)
-        for workers, mode in [(3, "thread"), (2, "process")]:
-            batch = QueryEngine(graph).run_batch(
-                queries, workers=workers, mode=mode
-            )
-            assert_same_answers(
-                reference.results, batch.results, include_stats=True
-            )
-            assert batch.stats is not None
-            assert (
-                batch.stats.swept_negatives
-                == reference.stats.swept_negatives
-            )
+        with worker_pool(graph) as pool:
+            batch = pool.run_batch(queries)
+        assert_same_answers(
+            reference.results, batch.results, include_stats=True
+        )
+        assert batch.stats is not None
+        assert batch.stats.swept_negatives == reference.stats.swept_negatives
 
 
 class TestBudgetsAndDeadlines:
@@ -433,18 +430,13 @@ class TestRandomizedDifferential:
         assert_same_answers(serial.results, vectorized.results)
         assert vectorized.stats.grouped_queries == len(queries)
 
-    def test_thread_and_process_match_serial_vectorized(self, workload):
+    def test_pool_matches_serial_vectorized(self, workload):
         graph, queries = workload
         reference = QueryEngine(graph).run_batch(queries)
-        threaded = QueryEngine(graph).run_batch(queries, workers=4)
+        with worker_pool(graph) as pool:
+            pooled = pool.run_batch(queries)
         assert_same_answers(
-            reference.results, threaded.results, include_stats=True
-        )
-        processed = QueryEngine(graph).run_batch(
-            queries[:24], workers=2, mode="process"
-        )
-        assert_same_answers(
-            reference.results[:24], processed.results, include_stats=True
+            reference.results, pooled.results, include_stats=True
         )
 
     @given(st.integers(min_value=0, max_value=10_000))
@@ -456,9 +448,10 @@ class TestRandomizedDifferential:
         serial = QueryEngine(graph).run_batch(queries, vectorize=False)
         vectorized = QueryEngine(graph).run_batch(queries)
         assert_same_answers(serial.results, vectorized.results)
-        threaded = QueryEngine(graph).run_batch(queries, workers=3)
+        with worker_pool(graph) as pool:
+            pooled = pool.run_batch(queries)
         assert_same_answers(
-            vectorized.results, threaded.results, include_stats=True
+            vectorized.results, pooled.results, include_stats=True
         )
 
     @given(st.integers(min_value=0, max_value=10_000))
